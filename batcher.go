@@ -1,13 +1,10 @@
 package magicstate
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
-	"magicstate/internal/core"
 	"magicstate/internal/store"
 	"magicstate/internal/sweep"
 )
@@ -31,30 +28,6 @@ type BatcherOptions struct {
 	// harnesses can exercise store failure recovery deliberately; leave
 	// it empty in production. Ignored without a Checkpoint.
 	StoreFaults string
-
-	// The three hooks below are the batcher's cluster surface, used by
-	// cmd/msfud to stitch batchers on different machines into one
-	// sharded cache. They deal in raw keys (the 32-byte canonical
-	// config address, see PointKey) and raw record payloads, so no
-	// internal types leak into the public API. All are optional and all
-	// are best-effort: a hook returning ok=false simply means "proceed
-	// locally".
-
-	// RemoteFetch, when set with a Checkpoint, is consulted on a
-	// checkpoint-store miss before computing: it may return the record
-	// payload for a key from elsewhere (a cluster peer). Returned
-	// payloads must decode as stored records; anything else is treated
-	// as a miss.
-	RemoteFetch func(ctx context.Context, key [32]byte) ([]byte, bool)
-	// RemoteEval, when set, is offered each cacheable point that missed
-	// every cache tier before it is computed locally: given the point's
-	// key and its config JSON, it may return the record payload computed
-	// by the point's owning node.
-	RemoteEval func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool)
-	// OnStore, when set with a Checkpoint, observes every record freshly
-	// persisted to the checkpoint store (replication feed). It is called
-	// outside store locks and must treat the payload as read-only.
-	OnStore func(key [32]byte, payload []byte)
 }
 
 // Batcher is a reusable optimization runner that carries one cache tier
@@ -92,40 +65,9 @@ func NewBatcher(opts BatcherOptions) (*Batcher, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opts.RemoteFetch != nil {
-			fetch := opts.RemoteFetch
-			st.SetFetcher(func(ctx context.Context, k store.Key) ([]byte, bool) {
-				return fetch(ctx, k)
-			})
-		}
-		if opts.OnStore != nil {
-			onStore := opts.OnStore
-			st.SetOnPut(func(k store.Key, payload []byte) {
-				onStore(k, payload)
-			})
-		}
-	}
-	var remote func(ctx context.Context, cfg core.Config) (*core.Report, bool)
-	if opts.RemoteEval != nil {
-		eval := opts.RemoteEval
-		remote = func(ctx context.Context, cfg core.Config) (*core.Report, bool) {
-			cfgJSON, err := json.Marshal(cfg)
-			if err != nil {
-				return nil, false
-			}
-			payload, ok := eval(ctx, store.KeyOf(cfg), cfgJSON)
-			if !ok {
-				return nil, false
-			}
-			var r store.Record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				return nil, false
-			}
-			return r.Report(cfg), true
-		}
 	}
 	return &Batcher{
-		eng: sweep.New(sweep.Options{Workers: opts.Parallelism, Store: st, Remote: remote}),
+		eng: sweep.New(sweep.Options{Workers: opts.Parallelism, Store: st}),
 		st:  st,
 	}, nil
 }
@@ -223,16 +165,8 @@ type CacheStats struct {
 	// MemoryHits and MemoryMisses count lookups in the in-process memo.
 	MemoryHits, MemoryMisses int64
 	// DiskHits counts points served from the checkpoint store instead
-	// of recomputed (always zero without a checkpoint). Points the
-	// RemoteFetch hook pulled from a peer into the local store count
-	// here too — and are broken out in PeerFetchHits.
+	// of recomputed (always zero without a checkpoint).
 	DiskHits int64
-	// PeerFetchHits counts local store misses served by the RemoteFetch
-	// hook (a peer's record, fetched and admitted locally).
-	PeerFetchHits int64
-	// RemoteEvalHits counts points evaluated by their owning peer via
-	// the RemoteEval hook instead of computed here.
-	RemoteEvalHits int64
 	// StoredRecords is the checkpoint store's live final-record count —
 	// one per pipeline point answered.
 	StoredRecords int
@@ -263,10 +197,9 @@ func (b *Batcher) Stats() CacheStats {
 	hits, misses := b.eng.CacheStats()
 	ss := b.eng.StageStats()
 	cs := CacheStats{
-		MemoryHits:     hits,
-		MemoryMisses:   misses,
-		DiskHits:       b.eng.DiskHits(),
-		RemoteEvalHits: b.eng.RemoteHits(),
+		MemoryHits:   hits,
+		MemoryMisses: misses,
+		DiskHits:     b.eng.DiskHits(),
 
 		StageBuildHits: ss.BuildHits, StageBuildComputes: ss.BuildComputes,
 		StagePlaceHits: ss.PlaceHits, StagePlaceComputes: ss.PlaceComputes,
@@ -274,82 +207,12 @@ func (b *Batcher) Stats() CacheStats {
 	}
 	if b.st != nil {
 		st := b.st.Stats()
-		cs.PeerFetchHits = st.PeerHits
 		cs.StoredRecords = st.Records
 		cs.StoredBytes = st.LogBytes
 		cs.CheckpointDir = b.st.Dir()
 		cs.StageRecords = st.StageRecords
 	}
 	return cs
-}
-
-// RecordGet returns the raw record payload stored locally under key,
-// if any. It is the serving side of a peer's RemoteFetch: strictly
-// local — it never computes, never consults this batcher's own remote
-// hooks — so two nodes asking each other can never recurse. The
-// returned slice must be treated as read-only.
-func (b *Batcher) RecordGet(key [32]byte) ([]byte, bool) {
-	if b.st == nil {
-		return nil, false
-	}
-	return b.st.Get(key)
-}
-
-// RecordPut admits a record payload computed elsewhere into the local
-// checkpoint store, after verifying it decodes as a stored record — a
-// final result record, or a stage-framed pipeline artifact (the staged
-// pipeline replicates its intermediate artifacts over the same feed).
-// Callers (the replication receiver) have already byte-verified the
-// payload's digest, and this check makes even a digest-valid garbage
-// payload inadmissible. A batcher without a checkpoint accepts and
-// drops the record.
-func (b *Batcher) RecordPut(key [32]byte, payload []byte) error {
-	if _, _, isStage := store.StagePayload(payload); isStage {
-		if err := store.ValidateStagePayload(payload); err != nil {
-			return fmt.Errorf("magicstate: %w", err)
-		}
-	} else {
-		var r store.Record
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&r); err != nil {
-			return fmt.Errorf("magicstate: record payload does not decode: %w", err)
-		}
-	}
-	if b.st == nil {
-		return nil
-	}
-	return b.st.Put(key, payload)
-}
-
-// EvalConfigJSON evaluates a full pipeline configuration delivered as
-// JSON — the serving side of a peer's RemoteEval — through this
-// batcher's local cache tier, and returns the point's key and record
-// payload. The config must decode strictly (unknown fields are version
-// skew between nodes, refused rather than misread) and be cacheable
-// (trace-carrying configs have no record form). The evaluation itself
-// is local: the caller passes a context the fabric has marked
-// non-forwardable, so an owner disagreement between nodes degrades to
-// local compute, never to a forwarding loop.
-func (b *Batcher) EvalConfigJSON(ctx context.Context, cfgJSON []byte) (key [32]byte, payload []byte, err error) {
-	var cfg core.Config
-	dec := json.NewDecoder(bytes.NewReader(cfgJSON))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return key, nil, fmt.Errorf("magicstate: config does not decode: %w", err)
-	}
-	if !store.Cacheable(cfg) {
-		return key, nil, fmt.Errorf("magicstate: config is not cacheable; evaluate it locally")
-	}
-	rep, err := b.eng.RunOneContext(ctx, cfg)
-	if err != nil {
-		return key, nil, err
-	}
-	payload, err = json.Marshal(store.RecordOf(rep))
-	if err != nil {
-		return key, nil, err
-	}
-	return store.KeyOf(cfg), payload, nil
 }
 
 // sameDir reports whether two directory spellings name the same

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"magicstate"
-	"magicstate/internal/fabric"
 	"magicstate/internal/presets"
 )
 
@@ -51,15 +50,6 @@ type serverConfig struct {
 	// propagates as a context through the sweep engine into the
 	// pipeline, so timed-out work stops at the next stage boundary.
 	RequestTimeout time.Duration
-	// Fabric, when non-nil, joins this node to a consistent-hash
-	// cluster: the peer endpoints (/v1/record, /v1/fabric/eval,
-	// /v1/ping) and the cluster view (/v1/cluster) are registered, and
-	// fabric counters join /v1/stats and /metrics.
-	Fabric *fabric.Fabric
-	// PeerFaults is the TESTING ONLY peer-layer fault plan
-	// (-fault-peer): scheduled drops, stalls and corruptions applied to
-	// this node's peer-facing endpoints.
-	PeerFaults *fabric.PeerFaultPlan
 }
 
 // server is the msfud HTTP service: request parsing, admission control,
@@ -118,7 +108,6 @@ func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
 		pruneFrom:     1,
 	}
 	s.met = newMetrics(b, s.adm, s.rl, s.flights, s.jobsInFlight)
-	s.met.fabric = cfg.Fabric
 	return s
 }
 
@@ -186,13 +175,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobCancel))
 	mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.met.handleMetrics))
-	if s.cfg.Fabric != nil {
-		mux.HandleFunc("GET /v1/record/{key}", s.instrument("/v1/record", s.handleRecordGet))
-		mux.HandleFunc("PUT /v1/record/{key}", s.instrument("/v1/record", s.handleRecordPut))
-		mux.HandleFunc("POST /v1/fabric/eval", s.instrument("/v1/fabric/eval", s.handleFabricEval))
-		mux.HandleFunc("GET /v1/ping", s.instrument("/v1/ping", s.handlePing))
-		mux.HandleFunc("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
-	}
 	return mux
 }
 
@@ -826,26 +808,18 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // the metrics registry and the subsystems it borrows gauges from — so
 // the two views cannot drift.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsPayload())
-}
-
-// statsPayload builds the /v1/stats body; /v1/cluster reuses it for
-// this node's own entry so the cluster view and the local view agree.
-func (s *server) statsPayload() map[string]any {
 	cs := s.batcher.Stats()
-	payload := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": int64(time.Since(s.met.started).Seconds()),
 		"max_parallel":   s.cfg.MaxParallel,
 		"draining":       s.draining.Load(),
 		"cache": map[string]any{
-			"memory_hits":      cs.MemoryHits,
-			"memory_misses":    cs.MemoryMisses,
-			"disk_hits":        cs.DiskHits,
-			"peer_fetch_hits":  cs.PeerFetchHits,
-			"remote_eval_hits": cs.RemoteEvalHits,
-			"stored_records":   cs.StoredRecords,
-			"stored_bytes":     cs.StoredBytes,
-			"checkpoint_dir":   cs.CheckpointDir,
+			"memory_hits":    cs.MemoryHits,
+			"memory_misses":  cs.MemoryMisses,
+			"disk_hits":      cs.DiskHits,
+			"stored_records": cs.StoredRecords,
+			"stored_bytes":   cs.StoredBytes,
+			"checkpoint_dir": cs.CheckpointDir,
 			// Stage-tier traffic: artifacts replayed from the durable
 			// store (hits) vs pipeline stages actually executed
 			// (computes), per stage.
@@ -880,9 +854,5 @@ func (s *server) statsPayload() map[string]any {
 			"p50": s.met.latency.quantile(0.50),
 			"p99": s.met.latency.quantile(0.99),
 		},
-	}
-	if s.cfg.Fabric != nil {
-		payload["fabric"] = s.cfg.Fabric.Stats()
-	}
-	return payload
+	})
 }

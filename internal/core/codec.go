@@ -517,7 +517,7 @@ func DecodeSimArtifact(data []byte) (*mesh.Result, error) {
 
 // ValidateStageArtifact checks that body decodes as an artifact of the
 // given stage, without retaining the result. It is the admission check
-// shared by the store's scrub pass and the peer read-through path.
+// of the store's scrub pass.
 func ValidateStageArtifact(st Stage, body []byte) error {
 	switch st {
 	case StageBuild:

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -75,51 +74,6 @@ func (s *Store) LookupReport(cfg core.Config) (rep *core.Report, ok bool) {
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return nil, false
 	}
-	return r.Report(cfg), true
-}
-
-// LookupReportContext is LookupReport with the read-through peer tier:
-// on a local miss it consults the fetcher installed by SetFetcher, and
-// a fetched payload — already byte-verified by the fabric — must also
-// decode as a Record before it is admitted to the local store and
-// served. Undecodable fetch results are dropped as misses, so a
-// confused peer can cost a recompute but can never plant a record the
-// local node would later serve. With no fetcher installed this is
-// exactly LookupReport.
-func (s *Store) LookupReportContext(ctx context.Context, cfg core.Config) (rep *core.Report, ok bool) {
-	if !Cacheable(cfg) {
-		return nil, false
-	}
-	k := KeyOf(cfg)
-	if payload, ok := s.Get(k); ok {
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return nil, false
-		}
-		return r.Report(cfg), true
-	}
-	s.hookMu.RLock()
-	fetch := s.fetcher
-	s.hookMu.RUnlock()
-	if fetch == nil {
-		return nil, false
-	}
-	payload, fetched := fetch(ctx, k)
-	if !fetched {
-		return nil, false
-	}
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return nil, false
-	}
-	// Admission after decode verification; a racing local compute that
-	// beat us to the key makes this a harmless duplicate.
-	if err := s.Put(k, payload); err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	s.peerHits++
-	s.mu.Unlock()
 	return r.Report(cfg), true
 }
 

@@ -1,16 +1,11 @@
 package store
 
-import (
-	"context"
-	"fmt"
-
-	"magicstate/internal/core"
-)
+import "magicstate/internal/core"
 
 // Stage records share the final-record store: same append-only log,
-// same index, same crash recovery and same peer fabric — a stage
-// artifact is just a payload filed under a stage-scoped key
-// (StageKeyOf). Two layers keep the kinds from ever mixing:
+// same index and same crash recovery — a stage artifact is just a
+// payload filed under a stage-scoped key (StageKeyOf). Two layers keep
+// the kinds from ever mixing:
 //
 //   - Keys are domain-separated. A stage key's preimage starts
 //     "magicstate/store stage/..." where a final key's starts
@@ -18,8 +13,8 @@ import (
 //     SHA-256.
 //   - Payloads are framed. Every stage payload opens with
 //     stagePayloadMagic plus the stage byte, which no JSON record can
-//     start with, so scrubbing and admission checks can tell the kinds
-//     apart without consulting the key.
+//     start with, so scrubbing can tell the kinds apart without
+//     consulting the key.
 
 // stagePayloadMagic opens every stage-artifact payload. The next byte
 // is the stage id (core.Stage), then the stage codec body.
@@ -42,21 +37,6 @@ func StagePayload(payload []byte) (st core.Stage, body []byte, ok bool) {
 		return 0, nil, false
 	}
 	return core.Stage(payload[len(stagePayloadMagic)]), payload[len(stagePayloadMagic)+1:], true
-}
-
-// ValidateStagePayload checks a stage-framed payload end to end: known
-// framing, known stage, and a body that decodes under that stage's
-// codec. It is the admission gate for stage payloads arriving from
-// peers (replication, read-through).
-func ValidateStagePayload(payload []byte) error {
-	st, body, ok := StagePayload(payload)
-	if !ok {
-		return fmt.Errorf("store: payload is not stage-framed")
-	}
-	if err := core.ValidateStageArtifact(st, body); err != nil {
-		return fmt.Errorf("store: stage %s payload does not decode: %w", st, err)
-	}
-	return nil
 }
 
 // PutStage persists a stage artifact body under its stage-scoped key.
@@ -85,46 +65,5 @@ func (s *Store) GetStage(st core.Stage, cfg core.Config) ([]byte, bool) {
 	if !ok || gotSt != st {
 		return nil, false
 	}
-	return body, true
-}
-
-// GetStageContext is GetStage with the read-through peer tier: on a
-// local miss it consults the fetcher installed by SetFetcher (stage
-// keys shard over the ring exactly like final keys), and a fetched
-// payload must frame-check AND decode under the stage codec before it
-// is admitted locally and served — the same decode-before-admit rule
-// final records follow, so a confused peer can cost a recompute but
-// never plant an artifact this node would later replay.
-func (s *Store) GetStageContext(ctx context.Context, st core.Stage, cfg core.Config) ([]byte, bool) {
-	if body, ok := s.GetStage(st, cfg); ok {
-		return body, true
-	}
-	if !StageCacheable(st, cfg) {
-		return nil, false
-	}
-	s.hookMu.RLock()
-	fetch := s.fetcher
-	s.hookMu.RUnlock()
-	if fetch == nil {
-		return nil, false
-	}
-	k := StageKeyOf(st, cfg)
-	payload, fetched := fetch(ctx, k)
-	if !fetched {
-		return nil, false
-	}
-	gotSt, body, ok := StagePayload(payload)
-	if !ok || gotSt != st {
-		return nil, false
-	}
-	if core.ValidateStageArtifact(st, body) != nil {
-		return nil, false
-	}
-	if err := s.Put(k, payload); err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	s.peerHits++
-	s.mu.Unlock()
 	return body, true
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,9 +31,6 @@ var ErrClosed = errors.New("store: closed")
 type Stats struct {
 	// Hits and Misses count final-record Get outcomes since Open.
 	Hits, Misses int64
-	// PeerHits counts local misses served by the read-through fetcher
-	// (a peer's store) instead of recomputation, stage and final alike.
-	PeerHits int64
 	// Puts counts final records appended since Open (duplicates
 	// excluded). Because every cacheable pipeline run persists exactly
 	// one final record, this doubles as the "points computed" count.
@@ -42,8 +38,8 @@ type Stats struct {
 	// Records is the live final-record count, recovered entries
 	// included.
 	Records int
-	// StageHits and StageMisses count stage-artifact Get outcomes
-	// (GetStage and its peer-aware variant) since Open.
+	// StageHits and StageMisses count stage-artifact GetStage outcomes
+	// since Open.
 	StageHits, StageMisses int64
 	// StagePuts counts stage-artifact records appended since Open
 	// (duplicates excluded).
@@ -55,14 +51,6 @@ type Stats struct {
 	// and final records together.
 	LogBytes int64
 }
-
-// Fetcher is the read-through hook consulted on a local miss: given a
-// key, it may produce the record payload from elsewhere (in practice, a
-// cluster peer's store via internal/fabric). ok=false means "not
-// available, compute locally". Implementations own their own
-// verification — the store additionally refuses payloads that do not
-// decode as a Record before admitting them.
-type Fetcher func(ctx context.Context, k Key) ([]byte, bool)
 
 // storeFile is the slice of *os.File the store drives. Production opens
 // real files; fault-injection tests and soak harnesses wrap them in a
@@ -94,19 +82,12 @@ type Store struct {
 	closed bool
 
 	hits, misses, puts int64
-	peerHits           int64
 
 	// Stage-artifact traffic is counted apart from final records so
 	// "records stored" keeps meaning "pipeline points answered" for
 	// stats consumers, however many intermediate artifacts ride along.
 	stageHits, stageMisses, stagePuts int64
 	stageRecs                         int
-
-	// hookMu guards the two cluster hooks below, which are configured
-	// once at wiring time but read on every Put/lookup.
-	hookMu  sync.RWMutex
-	fetcher Fetcher
-	onPut   func(k Key, payload []byte)
 }
 
 // openDirs guards against two Stores writing one directory from the
@@ -244,25 +225,6 @@ func (s *Store) recover() error {
 // Dir reports the directory the store lives in.
 func (s *Store) Dir() string { return s.dir }
 
-// SetFetcher installs the read-through hook LookupReportContext
-// consults on a local miss. A nil fetcher (the default) makes every
-// lookup purely local. Safe to call concurrently with lookups.
-func (s *Store) SetFetcher(f Fetcher) {
-	s.hookMu.Lock()
-	s.fetcher = f
-	s.hookMu.Unlock()
-}
-
-// SetOnPut installs a hook invoked after every fresh Put (duplicates
-// and failed appends do not fire it), outside the store's lock. The
-// fabric uses it to replicate freshly computed records; the hook must
-// treat the payload as read-only.
-func (s *Store) SetOnPut(h func(k Key, payload []byte)) {
-	s.hookMu.Lock()
-	s.onPut = h
-	s.hookMu.Unlock()
-}
-
 // Get returns the payload stored under k. The boolean reports whether
 // the key was present; the returned slice must be treated as read-only.
 func (s *Store) Get(k Key) ([]byte, bool) {
@@ -301,33 +263,17 @@ func (s *Store) getStage(k Key) ([]byte, bool) {
 // — a torn index fragment left in place would break the fixed-width
 // entry alignment and cost every later record at the next recovery.
 func (s *Store) Put(k Key, payload []byte) error {
-	fresh, err := s.put(k, payload)
-	if err != nil || !fresh {
-		return err
-	}
-	s.hookMu.RLock()
-	h := s.onPut
-	s.hookMu.RUnlock()
-	if h != nil {
-		h(k, payload)
-	}
-	return nil
-}
-
-// put appends the record under the store lock and reports whether the
-// key was freshly added (false for duplicates).
-func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false, ErrClosed
+		return ErrClosed
 	}
 	if _, ok := s.mem[k]; ok {
-		return false, nil
+		return nil
 	}
 	if _, err := s.logF.Write(payload); err != nil {
 		s.rollback()
-		return false, fmt.Errorf("store: append log: %w", err)
+		return fmt.Errorf("store: append log: %w", err)
 	}
 	var e [entrySize]byte
 	copy(e[:32], k[:])
@@ -337,7 +283,7 @@ func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 	binary.LittleEndian.PutUint32(e[48:52], crc32.ChecksumIEEE(e[:48]))
 	if _, err := s.idxF.Write(e[:]); err != nil {
 		s.rollback()
-		return false, fmt.Errorf("store: append index: %w", err)
+		return fmt.Errorf("store: append index: %w", err)
 	}
 	s.logLen += int64(len(payload))
 	s.idxLen += entrySize
@@ -348,7 +294,7 @@ func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 	} else {
 		s.puts++
 	}
-	return true, nil
+	return nil
 }
 
 // rollback restores both files to the last committed record boundary
@@ -378,7 +324,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits: s.hits, Misses: s.misses, PeerHits: s.peerHits, Puts: s.puts,
+		Hits: s.hits, Misses: s.misses, Puts: s.puts,
 		Records:   len(s.mem) - s.stageRecs,
 		StageHits: s.stageHits, StageMisses: s.stageMisses, StagePuts: s.stagePuts,
 		StageRecords: s.stageRecs,

@@ -38,9 +38,8 @@ type stageMemoKey struct {
 
 // stageCounters tracks stage-tier traffic, shared by every engine a
 // Derive chain produces (like diskHits). Hits count artifacts replayed
-// from the durable tier (disk or peer); computes count stage
-// executions. In-memory stage reuse surfaces as neither — same as the
-// config memo.
+// from the durable tier; computes count stage executions. In-memory
+// stage reuse surfaces as neither — same as the config memo.
 type stageCounters struct {
 	buildHits, buildComputes atomic.Int64
 	placeHits, placeComputes atomic.Int64
@@ -100,7 +99,7 @@ func (e *Engine) buildStage(ctx context.Context, cfg core.Config) (*core.BuildAr
 	k := stageMemoKey{stage: core.StageBuild, key: store.StageKeyOf(core.StageBuild, cfg)}
 	v, err := e.stageCache.Do(k, func() (any, error) {
 		if e.store != nil {
-			if body, ok := e.store.GetStageContext(ctx, core.StageBuild, cfg); ok {
+			if body, ok := e.store.GetStage(core.StageBuild, cfg); ok {
 				if b, derr := core.DecodeBuildArtifact(body); derr == nil {
 					e.stage.buildHits.Add(1)
 					return b, nil
@@ -138,7 +137,7 @@ func (e *Engine) placeStage(ctx context.Context, cfg core.Config, b *core.BuildA
 	}
 	v, err := e.stageCache.Do(k, func() (any, error) {
 		if e.store != nil {
-			if body, ok := e.store.GetStageContext(ctx, core.StagePlace, cfg); ok {
+			if body, ok := e.store.GetStage(core.StagePlace, cfg); ok {
 				if p, derr := core.DecodePlaceArtifact(body); derr == nil {
 					e.stage.placeHits.Add(1)
 					return p, nil
@@ -194,7 +193,7 @@ func (e *Engine) simStage(ctx context.Context, cfg core.Config, b *core.BuildArt
 	k := stageMemoKey{stage: core.StageSim, key: store.StageKeyOf(core.StageSim, cfg)}
 	v, err := e.stageCache.Do(k, func() (any, error) {
 		if e.store != nil {
-			if body, ok := e.store.GetStageContext(ctx, core.StageSim, cfg); ok {
+			if body, ok := e.store.GetStage(core.StageSim, cfg); ok {
 				if sim, derr := core.DecodeSimArtifact(body); derr == nil {
 					e.stage.simHits.Add(1)
 					return sim, nil

@@ -32,13 +32,6 @@ type Options struct {
 	// freshly computed cacheable results. The engine never closes the
 	// store — its owner does.
 	Store *store.Store
-	// Remote, when set, adds a cluster tier beneath the store: a point
-	// missed by every local tier is offered to Remote (in practice the
-	// fabric's forward-to-owner call) before being computed here.
-	// ok=false means "compute locally" — the engine treats the remote
-	// tier as best-effort and never fails a point on its account. A
-	// remote result is persisted like a local one.
-	Remote func(ctx context.Context, cfg core.Config) (*core.Report, bool)
 }
 
 // Engine is a reusable batch executor. An Engine is safe for concurrent
@@ -52,9 +45,7 @@ type Engine struct {
 	stageCache *memo.Cache    // stage artifacts (see stages.go)
 	stage      *stageCounters // stage-tier traffic, shared via Derive
 	store      *store.Store
-	remote     func(ctx context.Context, cfg core.Config) (*core.Report, bool)
 	diskHits   *atomic.Int64 // shared by every engine Derive produces
-	remoteHits *atomic.Int64 // points served by the remote tier
 }
 
 // New builds an engine.
@@ -70,9 +61,7 @@ func New(opts Options) *Engine {
 		stageCache: memo.New(stageCacheLimit),
 		stage:      new(stageCounters),
 		store:      opts.Store,
-		remote:     opts.Remote,
 		diskHits:   new(atomic.Int64),
-		remoteHits: new(atomic.Int64),
 	}
 }
 
@@ -95,9 +84,7 @@ func (e *Engine) Derive(opts Options) *Engine {
 		stageCache: e.stageCache,
 		stage:      e.stage,
 		store:      e.store,
-		remote:     e.remote,
 		diskHits:   e.diskHits,
-		remoteHits: e.remoteHits,
 	}
 }
 
@@ -116,11 +103,6 @@ func (e *Engine) Store() *store.Store { return e.store }
 // instead of being recomputed, across this engine and every engine
 // sharing its cache via Derive.
 func (e *Engine) DiskHits() int64 { return e.diskHits.Load() }
-
-// RemoteHits reports how many points were served by the remote (cluster)
-// tier instead of being computed here, across this engine and every
-// engine sharing its cache via Derive.
-func (e *Engine) RemoteHits() int64 { return e.remoteHits.Load() }
 
 // Run executes every Config point and returns the reports in input
 // order. Identical points are computed once (reports are shared — treat
@@ -157,20 +139,8 @@ func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Report, error) {
 	v, err := e.cache.Do(cfg, func() (any, error) {
 		if e.store != nil {
-			// The context-aware lookup reaches through to cluster peers on
-			// a local miss when a fetcher is wired; without one it is the
-			// plain local lookup.
-			if rep, ok := e.store.LookupReportContext(ctx, cfg); ok {
+			if rep, ok := e.store.LookupReport(cfg); ok {
 				e.diskHits.Add(1)
-				return rep, nil
-			}
-		}
-		if e.remote != nil && store.Cacheable(cfg) {
-			if rep, ok := e.remote(ctx, cfg); ok {
-				e.remoteHits.Add(1)
-				if e.store != nil {
-					_ = e.store.PutReport(cfg, rep)
-				}
 				return rep, nil
 			}
 		}
